@@ -120,17 +120,22 @@ let campaign_tasks ?tools ?names ~config device =
     config.swap_counts
 
 (* Instances are shared by the point's tools (the paper's paired
-   comparison) and each is generated and certified exactly once: the
-   first task to need an instance marks it pending and builds it, while
-   sibling tool tasks block on the condition variable until it is ready
-   rather than duplicating the (expensive) generation + proof. *)
+   comparison) and each is generated and certified exactly once per
+   campaign: the first task to need an instance marks it pending and
+   builds it, while sibling tool tasks block on the condition variable
+   until it is ready rather than duplicating the (expensive) generation
+   + proof. The cache lives for one [run_campaign], so a process that
+   runs campaign after campaign does not keep every instance it ever
+   generated. *)
 type instance_cell = Ready of Benchmark.t | Pending
 
-let instance_mutex = Mutex.create ()
-let instance_ready = Condition.create ()
-let instance_cache : (string, instance_cell) Hashtbl.t = Hashtbl.create 64
+type instances = {
+  mutex : Mutex.t;
+  ready : Condition.t;
+  cells : (string, instance_cell) Hashtbl.t; (* guarded_by: mutex *)
+}
 
-let instance_for device (task : Task.t) =
+let instance_for instances device (task : Task.t) =
   let key =
     Printf.sprintf "%s/s%d/c%d/g%d/q%g/r%d" task.Task.device task.Task.n_swaps
       task.Task.circuit task.Task.gate_budget task.Task.single_qubit_ratio
@@ -152,32 +157,32 @@ let instance_for device (task : Task.t) =
     Certificate.check_exn bench;
     bench
   in
-  Mutex.lock instance_mutex;
+  Mutex.lock instances.mutex;
   let rec claim () =
-    match Hashtbl.find_opt instance_cache key with
+    match Hashtbl.find_opt instances.cells key with
     | Some (Ready bench) ->
-        Mutex.unlock instance_mutex;
+        Mutex.unlock instances.mutex;
         bench
     | Some Pending ->
-        Condition.wait instance_ready instance_mutex;
+        Condition.wait instances.ready instances.mutex;
         claim ()
     | None -> (
-        Hashtbl.replace instance_cache key Pending;
-        Mutex.unlock instance_mutex;
+        Hashtbl.replace instances.cells key Pending;
+        Mutex.unlock instances.mutex;
         match build () with
         | bench ->
-            Mutex.lock instance_mutex;
-            Hashtbl.replace instance_cache key (Ready bench);
-            Condition.broadcast instance_ready;
-            Mutex.unlock instance_mutex;
+            Mutex.lock instances.mutex;
+            Hashtbl.replace instances.cells key (Ready bench);
+            Condition.broadcast instances.ready;
+            Mutex.unlock instances.mutex;
             bench
         | exception e ->
             (* Un-claim so a sibling can retry (and fail with the real
                error) instead of waiting forever. *)
-            Mutex.lock instance_mutex;
-            Hashtbl.remove instance_cache key;
-            Condition.broadcast instance_ready;
-            Mutex.unlock instance_mutex;
+            Mutex.lock instances.mutex;
+            Hashtbl.remove instances.cells key;
+            Condition.broadcast instances.ready;
+            Mutex.unlock instances.mutex;
             raise e)
   in
   claim ()
@@ -201,8 +206,14 @@ let resolve_tool ?tools (task : Task.t) =
            (Qls_harness.Herror.permanent ~site:"campaign.tools"
               (Printf.sprintf "unknown tool %S" task.Task.tool)))
 
-let campaign_exec ?tools ~device (task : Task.t) =
-  let bench = instance_for device task in
+(* Execute one task: generate (and certify, once per instance — shared
+   through [instances] so the point's tools compare on the same circuit)
+   the task's instance, resolve its tool — from [tools] by name when
+   given, else from the registry seeded with [Task.rng_seed] — route,
+   verify, and time it. Pure up to the task, so campaign results are
+   scheduling-independent; safe to call from several domains. *)
+let campaign_exec ?tools ~instances ~device (task : Task.t) =
+  let bench = instance_for instances device task in
   let tool = resolve_tool ?tools task in
   (* lint: nondet-source — wall-clock feeds the [seconds] metric only *)
   let t0 = Unix.gettimeofday () in
@@ -283,7 +294,15 @@ let run_campaign ?tools ?names ?(jobs = 1) ?timeout ?(retries = 0) ?backoff ?sto
          else None);
     }
   in
-  Campaign.run campaign_config ~exec:(campaign_exec ?tools ~device) tasks
+  let instances =
+    {
+      mutex = Mutex.create ();
+      ready = Condition.create ();
+      cells = Hashtbl.create 64;
+    }
+  in
+  Campaign.run campaign_config ~exec:(campaign_exec ?tools ~instances ~device)
+    tasks
 
 let run_figure ?tools ?names ?jobs ?timeout ?retries ?backoff ?store ?resume
     ?failure_budget ?degrade ?progress ~config device =

@@ -73,18 +73,6 @@ val campaign_tasks :
     constructing routers up front; it wins over [tools]. The effective
     tool set is passed through {!validate_tools} first. *)
 
-val campaign_exec :
-  ?tools:Qls_router.Router.t list ->
-  device:Qls_arch.Device.t ->
-  Qls_harness.Task.t ->
-  Qls_harness.Task.outcome
-(** Execute one task: generate (and certify, once per instance — shared
-    through a cache so the point's tools compare on the same circuit)
-    the task's instance, resolve its tool — from [tools] by name when
-    given, else from the registry seeded with {!Qls_harness.Task.rng_seed} —
-    route, verify, and time it. Pure up to the task, so campaign results
-    are scheduling-independent; safe to call from several domains. *)
-
 val aggregate_campaign :
   ?tools:Qls_router.Router.t list ->
   ?names:string list ->
@@ -128,7 +116,9 @@ val run_campaign :
     seconds and bounded classified [retries] (with exponential [backoff]),
     an optional [failure_budget] that aborts a doomed sweep early,
     [degrade] to enable the {!default_fallback} chain, and a live
-    [progress] line. *)
+    [progress] line. Each task generates (and certifies, once per
+    instance for all the point's tools) its instance, routes, verifies
+    and times it; the instance cache lives for this call only. *)
 
 val run_point :
   ?tools:Qls_router.Router.t list ->

@@ -26,10 +26,12 @@ let size q = q.size
    instead of exchanging three array slots per level, which performs the
    same comparisons in the same order and half the stores. *)
 let key_less q ~prio ~stamp i =
+  (* lint: float-discipline — an exact tie falls through to the FIFO stamp; a NaN key compares false both ways *)
   prio < q.prio.(i) || (prio = q.prio.(i) && stamp < q.stamp.(i))
 
 let slot_less q i j =
   q.prio.(i) < q.prio.(j)
+  (* lint: float-discipline — an exact tie falls through to the FIFO stamp; a NaN key compares false both ways *)
   || (q.prio.(i) = q.prio.(j) && q.stamp.(i) < q.stamp.(j))
 
 (* Pops only shrink [size]; slots past it keep their last value until

@@ -1,22 +1,16 @@
-(* Locate and load the build's [.cmt] files so the typed pass can map a
+(* Locate and load the build's [.cmt] files so the engine can map a
    source path ("lib/serve/cache.ml") to its Typedtree. Dune drops cmts
    under [<dir>/.<lib>.objs/byte/] (libraries) and
    [<dir>/.<name>.eobjs/byte/] (executables), with the module wrapped as
    [Qls_serve__Cache] or [Dune__exe__Main]; the index walks the build
    root once, buckets every cmt by its unwrapped module stem, and
    confirms a candidate by the [cmt_sourcefile] recorded inside it.
-   Loads are cached and mutex-guarded so the engine's parallel walk can
-   share one index. *)
+   [Cmt_format.read_cmt] unmarshals compiler state, so [find] is for
+   one domain at a time. *)
 
 type load = Loaded of Typedtree.structure | Unavailable
 
-type t = {
-  mutex : Mutex.t;
-  by_stem : (string, string list) Hashtbl.t; (* module stem -> cmt paths *)
-  loaded : (string, (string * Typedtree.structure) option) Hashtbl.t;
-      (* cmt path -> (recorded source file, structure) *)
-  resolved : (string, load) Hashtbl.t; (* source path -> result *)
-}
+type t = (string, string list) Hashtbl.t (* module stem -> cmt paths *)
 
 let stem_of_cmt name =
   let base = String.lowercase_ascii (Filename.remove_extension name) in
@@ -48,7 +42,7 @@ let rec walk acc dir =
             else acc)
         acc entries
 
-let create ~build_root =
+let create ~build_root : t =
   let by_stem = Hashtbl.create 128 in
   List.iter
     (fun cmt ->
@@ -56,32 +50,14 @@ let create ~build_root =
       let prev = Option.value ~default:[] (Hashtbl.find_opt by_stem stem) in
       Hashtbl.replace by_stem stem (List.sort String.compare (cmt :: prev)))
     (walk [] build_root);
-  {
-    mutex = Mutex.create ();
-    by_stem;
-    loaded = Hashtbl.create 64;
-    resolved = Hashtbl.create 64;
-  }
+  by_stem
 
-let cmts t =
-  (* lint: nondet-source — a sum over all buckets; order cannot matter *)
-  Hashtbl.fold (fun _ ps n -> n + List.length ps) t.by_stem 0
-
-(* Must be called with [t.mutex] held: [read_cmt] unmarshals compiler
-   state and the caches are shared across domains. *)
-let load_cmt t path =
-  match Hashtbl.find_opt t.loaded path with
-  | Some r -> r
-  | None ->
-      let r =
-        match Cmt_format.read_cmt path with
-        | { cmt_sourcefile = Some src; cmt_annots = Implementation str; _ } ->
-            Some (src, str)
-        | _ -> None
-        | exception _ -> None
-      in
-      Hashtbl.replace t.loaded path r;
-      r
+let read_cmt path =
+  match Cmt_format.read_cmt path with
+  | { cmt_sourcefile = Some src; cmt_annots = Implementation str; _ } ->
+      Some (src, str)
+  | _ -> None
+  | exception _ -> None
 
 (* "a/b/c.ml" matches "b/c.ml" if one is the other's suffix at a '/'
    boundary: cmt_sourcefile is relative to the build-context root, which
@@ -97,30 +73,17 @@ let path_matches recorded source =
   || suffix_at_boundary recorded source
   || suffix_at_boundary source recorded
 
-let find t ~source =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.resolved source with
-      | Some r -> r
-      | None ->
-          let stem =
-            String.lowercase_ascii
-              (Filename.remove_extension (Filename.basename source))
-          in
-          let candidates =
-            Option.value ~default:[] (Hashtbl.find_opt t.by_stem stem)
-          in
-          let r =
-            match
-              List.find_map
-                (fun cmt ->
-                  match load_cmt t cmt with
-                  | Some (recorded, str) when path_matches recorded source ->
-                      Some str
-                  | _ -> None)
-                candidates
-            with
-            | Some str -> Loaded str
-            | None -> Unavailable
-          in
-          Hashtbl.replace t.resolved source r;
-          r)
+let find (t : t) ~source =
+  let stem =
+    String.lowercase_ascii (Filename.remove_extension (Filename.basename source))
+  in
+  match
+    List.find_map
+      (fun cmt ->
+        match read_cmt cmt with
+        | Some (recorded, str) when path_matches recorded source -> Some str
+        | _ -> None)
+      (Option.value ~default:[] (Hashtbl.find_opt t stem))
+  with
+  | Some str -> Loaded str
+  | None -> Unavailable

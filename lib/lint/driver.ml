@@ -1,8 +1,8 @@
-(* The lint driver shared by [analysis/qls_lint_main.exe] and the
-   [qubikos lint] subcommand: resolve the rule subset, run the engine,
-   apply the baseline, write the optional JSONL/SARIF sinks, and turn
-   the outcome into the conventional exit code (0 clean, 1 findings,
-   2 usage/configuration error). *)
+(* The lint driver behind [analysis/qls_lint_main.exe]: resolve the rule
+   subset, run the engine, apply the baseline, write the optional
+   JSONL/SARIF sinks, and turn the outcome into the conventional exit
+   code (0 clean, 1 findings, 2 usage/configuration error — including a
+   file the engine could not lint because the build left no [.cmt]). *)
 
 type opts = {
   root : string;
@@ -15,8 +15,6 @@ type opts = {
   jobs : int;
   check_stale : bool;
       (** fail (exit 1) when the baseline carries stale entries *)
-  require_typed : bool;
-      (** fail (exit 2) when a typed rule found no cmt for some file *)
   quiet : bool;
 }
 
@@ -31,27 +29,17 @@ let default_opts =
     rules = [];
     jobs = 1;
     check_stale = false;
-    require_typed = false;
     quiet = true;
   }
 
 let resolve_rules = function
   | [] -> Ok Registry.all
-  | names ->
-      let unknown = ref [] in
-      let rules =
-        List.filter_map
-          (fun n ->
-            match Registry.by_name n with
-            | Some r -> Some r
-            | None ->
-                unknown := n :: !unknown;
-                None)
-          names
-      in
-      (match List.rev !unknown with
-      | [] -> Ok rules
-      | u -> Error (Printf.sprintf "unknown rule(s): %s" (String.concat ", " u)))
+  | names -> (
+      match List.filter (fun n -> Option.is_none (Registry.by_name n)) names with
+      | [] -> Ok (List.filter_map Registry.by_name names)
+      | unknown ->
+          Error
+            (Printf.sprintf "unknown rule(s): %s" (String.concat ", " unknown)))
 
 let execute opts =
   match resolve_rules opts.rules with
@@ -62,15 +50,14 @@ let execute opts =
       let report =
         Engine.run ~jobs:opts.jobs ~rules ~root:opts.root opts.paths
       in
-      if
-        opts.require_typed
-        && Registry.needs_typed rules
-        && not (List.is_empty report.Engine.typed_missing)
-      then begin
+      if not (List.is_empty report.Engine.missing) then begin
         List.iter
           (fun f ->
-            Printf.eprintf "qls_lint: no .cmt found for %s (build first?)\n" f)
-          report.Engine.typed_missing;
+            Printf.eprintf
+              "qls_lint: no .cmt found for %s, so it was not linted; run \
+               `dune build @check` first\n"
+              f)
+          report.Engine.missing;
         2
       end
       else
@@ -139,12 +126,10 @@ let execute opts =
             if not opts.quiet then
               Printf.printf
                 "qls_lint: %d file(s), %d finding(s) (%d suppressed in \
-                 source, %d waived by baseline), typed pass covered %d \
-                 file(s)\n"
+                 source, %d waived by baseline)\n"
                 report.Engine.files
                 (List.length applied.Baseline.kept)
-                report.Engine.suppressed applied.Baseline.waived
-                report.Engine.typed_files;
+                report.Engine.suppressed applied.Baseline.waived;
             match
               ( applied.Baseline.kept,
                 opts.check_stale
@@ -156,12 +141,13 @@ let execute opts =
 let usage prog =
   Printf.sprintf
     "%s [options] [path ...]\n\
-     Lints lib/, bin/ and bench/ under --root when no paths are given.\n\
+     Lints lib/, bin/ and bench/ under --root when no paths are given;\n\
+     every file needs the .cmt that `dune build @check` emits.\n\
      Exit status: 0 clean, 1 findings, 2 usage/configuration error.\n\
      Options:"
     prog
 
-(* Arg-based front end used by analysis/qls_lint_main.exe. *)
+(* The command-line front end of analysis/qls_lint_main.exe. *)
 let main ~prog argv =
   let root = ref "." in
   let baseline_path = ref "" in
@@ -171,7 +157,6 @@ let main ~prog argv =
   let rule_names = ref "" in
   let jobs = ref 1 in
   let check_stale = ref false in
-  let require_typed = ref false in
   let quiet = ref false in
   let paths = ref [] in
   let spec =
@@ -199,9 +184,6 @@ let main ~prog argv =
       ( "--check",
         Arg.Set check_stale,
         " fail when the baseline carries stale entries" );
-      ( "--require-typed",
-        Arg.Set require_typed,
-        " fail when a typed rule found no .cmt for some file" );
       ("--quiet", Arg.Set quiet, " suppress the summary line");
     ]
   in
@@ -233,6 +215,5 @@ let main ~prog argv =
                |> List.filter (fun s -> s <> ""));
           jobs = !jobs;
           check_stale = !check_stale;
-          require_typed = !require_typed;
           quiet = !quiet;
         }

@@ -395,8 +395,8 @@ let fallback_swaps device mapping target_pairs =
     target_pairs;
   List.rev !swaps
 
-let obs_rounds = lazy (Qls_obs.counter "router.rounds")
-let obs_gates = lazy (Qls_obs.counter "router.gates")
+let obs_rounds = Qls_obs.counter "router.rounds"
+let obs_gates = Qls_obs.counter "router.gates"
 
 let route ?(options = default_options) ?initial device circuit =
   let opts = options in
@@ -451,8 +451,8 @@ let route ?(options = default_options) ?initial device circuit =
     if emitted = 0 then
       failwith "Astar_router: no progress after layer search (bug)"
   done;
-  Qls_obs.add (Lazy.force obs_rounds) !rounds;
-  Qls_obs.add (Lazy.force obs_gates) (Route_state.done_count st);
+  Qls_obs.add obs_rounds !rounds;
+  Qls_obs.add obs_gates (Route_state.done_count st);
   if traced then
     Qls_obs.stop pass_sp
       ~attrs:

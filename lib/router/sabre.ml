@@ -16,7 +16,6 @@ type options = {
   lookahead_decay : float option;
   bidirectional_passes : int;
   release_valve_after : int;
-  relative_tie_break : bool;
 }
 
 let default_options =
@@ -30,18 +29,11 @@ let default_options =
     lookahead_decay = None;
     bidirectional_passes = 2;
     release_valve_after = 32;
-    relative_tie_break = false;
   }
 
-(* The historical tie window is an absolute [1e-12], which silently widens
-   relative to the scores themselves on large devices (front sums grow
-   with device diameter and front size). The relative mode fixes the
-   window at 1e-9 of the best score; it changes which candidates count as
-   tied, so it sits behind an option and the goldens pin the default. *)
-let tied ~opts s best =
-  if opts.relative_tie_break then
-    Float.abs (s -. best) <= 1e-9 *. Float.max 1.0 best
-  else s <= best +. 1e-12
+(* Candidates within an absolute [1e-12] of the best score are tied;
+   the goldens pin this window. *)
+let tied s best = s <= best +. 1e-12
 
 let with_trials trials opts = { opts with trials }
 
@@ -139,8 +131,8 @@ let score_swap ~opts ~dmat ~decay ~front_phys ~extended_phys (p, p') =
 
 (* Pass-level aggregates feed the post-campaign summary even with span
    tracing off; the two [add]s per pass are noise next to routing. *)
-let obs_rounds = lazy (Qls_obs.counter "router.rounds")
-let obs_gates = lazy (Qls_obs.counter "router.gates")
+let obs_rounds = Qls_obs.counter "router.rounds"
+let obs_gates = Qls_obs.counter "router.gates"
 
 let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
   let st = Route_state.create ~device ~source:circuit ~initial in
@@ -203,7 +195,7 @@ let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
       let best_score =
         List.fold_left (fun acc (_, s) -> Float.min acc s) infinity scored
       in
-      let ties = List.filter (fun (_, s) -> tied ~opts s best_score) scored in
+      let ties = List.filter (fun (_, s) -> tied s best_score) scored in
       match ties with
       | [] ->
           (* Unreachable on a validated (connected) device — every front
@@ -242,8 +234,8 @@ let routing_pass ~opts ~rng ~trace ~device ~initial circuit =
     end
     else incr stuck
   done;
-  Qls_obs.add (Lazy.force obs_rounds) !rounds;
-  Qls_obs.add (Lazy.force obs_gates) (Route_state.done_count st);
+  Qls_obs.add obs_rounds !rounds;
+  Qls_obs.add obs_gates (Route_state.done_count st);
   if traced then
     Qls_obs.stop pass_sp
       ~attrs:

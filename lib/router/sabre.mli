@@ -43,12 +43,6 @@ type options = {
   release_valve_after : int;
       (** consecutive non-progressing SWAPs tolerated before the release
           valve fires *)
-  relative_tie_break : bool;
-      (** [false] (default, golden-pinned): candidates within an absolute
-          [1e-12] of the best score count as tied — scale-dependent on
-          large devices, where scores grow with the front. [true]:
-          the window is relative,
-          [|s - best| <= 1e-9 * max 1.0 best]. *)
 }
 
 val default_options : options

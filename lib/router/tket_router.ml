@@ -9,7 +9,6 @@ type options = {
   seed : int;
   vf2_node_limit : int;
   release_valve_after : int;
-  relative_tie_break : bool;
 }
 
 let default_options =
@@ -19,16 +18,10 @@ let default_options =
     seed = 0;
     vf2_node_limit = 200_000;
     release_valve_after = 32;
-    relative_tie_break = false;
   }
 
-(* Same scale-dependence fix as Sabre.tied: the absolute 1e-12 window is
-   the historical default the goldens pin; the relative mode tracks the
-   score magnitude. *)
-let tied ~opts s best =
-  if opts.relative_tie_break then
-    Float.abs (s -. best) <= 1e-9 *. Float.max 1.0 best
-  else s <= best +. 1e-12
+(* The same absolute tie window as Sabre.tied, pinned by the goldens. *)
+let tied s best = s <= best +. 1e-12
 
 (* [layers_phys] is the round's slice lookahead projected to flat
    physical-pair arrays (one [|pa0; pb0; ...|] per slice), hoisted by the
@@ -60,8 +53,8 @@ let score_swap ~opts ~dmat ~layers_phys (p, p') =
 
 (* Same registry names as Sabre's — the obs registry hands back one
    shared counter per name, so the summary aggregates across routers. *)
-let obs_rounds = lazy (Qls_obs.counter "router.rounds")
-let obs_gates = lazy (Qls_obs.counter "router.gates")
+let obs_rounds = Qls_obs.counter "router.rounds"
+let obs_gates = Qls_obs.counter "router.gates"
 
 let route ?(options = default_options) ?initial device circuit =
   let opts = options in
@@ -121,7 +114,7 @@ let route ?(options = default_options) ?initial device circuit =
           candidates
       in
       let best = List.fold_left (fun acc (_, s) -> Float.min acc s) infinity scored in
-      let ties = List.filter (fun (_, s) -> tied ~opts s best) scored in
+      let ties = List.filter (fun (_, s) -> tied s best) scored in
       match ties with
       | [] ->
           (* Unreachable on a validated (connected) device; kept total
@@ -136,8 +129,8 @@ let route ?(options = default_options) ?initial device circuit =
       Qls_obs.stop round_sp ~attrs:[ ("emitted", Qls_obs.Int emitted) ];
     if emitted > 0 then stuck := 0 else incr stuck
   done;
-  Qls_obs.add (Lazy.force obs_rounds) !rounds;
-  Qls_obs.add (Lazy.force obs_gates) (Route_state.done_count st);
+  Qls_obs.add obs_rounds !rounds;
+  Qls_obs.add obs_gates (Route_state.done_count st);
   if traced then
     Qls_obs.stop pass_sp
       ~attrs:

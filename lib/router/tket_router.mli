@@ -24,10 +24,6 @@ type options = {
   seed : int;  (** tie-breaking stream *)
   vf2_node_limit : int;  (** budget for the placement isomorphism try *)
   release_valve_after : int;  (** anti-oscillation threshold *)
-  relative_tie_break : bool;
-      (** [false] (default, golden-pinned): absolute [1e-12] tie window;
-          [true]: relative window
-          [|s - best| <= 1e-9 * max 1.0 best] (see {!Sabre.options}). *)
 }
 
 val default_options : options

@@ -8,29 +8,27 @@
 (* ------------------------------------------------------------------ *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->
       c :=
         Int32.logxor
           (Int32.shift_right_logical !c 8)
-          table.(Int32.to_int
-                   (Int32.logand
-                      (Int32.logxor !c (Int32.of_int (Char.code ch)))
-                      0xffl)))
+          crc_table.(Int32.to_int
+                       (Int32.logand
+                          (Int32.logxor !c (Int32.of_int (Char.code ch)))
+                          0xffl)))
     s;
   Printf.sprintf "%08lx" (Int32.logxor !c 0xFFFFFFFFl)
 

@@ -454,6 +454,37 @@ let evaluation_tests =
         let points = Evaluation.run_figure ~tools ~config device in
         Alcotest.(check (list int)) "swap counts" [ 1; 2 ]
           (List.map (fun p -> p.Evaluation.optimal) points));
+    test_case "each campaign generates its own instances" (fun () ->
+        (* Counted through the certification spans of a traced run: two
+           back-to-back campaigns on one config certify every instance
+           twice, once each, not once for the life of the process. *)
+        let device = Topologies.grid 3 3 in
+        let config =
+          {
+            (Evaluation.default_figure_config device) with
+            swap_counts = [ 1; 2 ];
+            circuits_per_point = 2;
+            gate_budget = 25;
+          }
+        in
+        let tools = [ Sabre.router (); Qls_router.Tket_router.router () ] in
+        let path = Filename.temp_file "qls_campaign" ".jsonl" in
+        Fun.protect
+          ~finally:(fun () ->
+            Qls_obs.shutdown ();
+            Sys.remove path)
+          (fun () ->
+            Qls_obs.tracing_to path;
+            ignore (Evaluation.run_campaign ~tools ~config device);
+            ignore (Evaluation.run_campaign ~tools ~config device);
+            Qls_obs.shutdown ();
+            let records, _ = Qls_obs.load_jsonl path in
+            let certified =
+              List.filter
+                (fun r -> String.equal r.Qls_obs.r_name "certify.structural")
+                records
+            in
+            check_int "2 campaigns x 4 instances" 8 (List.length certified)));
     test_case "tool_gap_summary averages per tool" (fun () ->
         let mk tool ratio =
           {

@@ -1,10 +1,12 @@
-(* Tests for the Qls_lint static-analysis pass: per-rule fixtures with
-   asserted violation counts, the suppression comment forms, baseline
-   round-tripping, and the self-check that lib/ itself is lint-clean. *)
+(* Tests for the Qls_lint static-analysis pass: per-rule compiled
+   fixtures with asserted violation counts, path scoping, the
+   suppression comment forms, baseline round-tripping, and the
+   self-check that lib/ itself is lint-clean. *)
 
 module Finding = Qls_lint.Finding
-module Rules = Qls_lint.Rules
 module Engine = Qls_lint.Engine
+module Cmt_index = Qls_lint.Cmt_index
+module Typed_rules = Qls_lint.Typed_rules
 module Suppress = Qls_lint.Suppress
 module Baseline = Qls_lint.Baseline
 module Registry = Qls_lint.Registry
@@ -23,31 +25,59 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let fixture name = read_file (Filename.concat "fixtures" name)
+let rec find_root dir =
+  if
+    Sys.file_exists (Filename.concat dir "dune-project")
+    && Sys.file_exists (Filename.concat dir "lib")
+    && Sys.is_directory (Filename.concat dir "lib")
+  then Some dir
+  else
+    let parent = Filename.dirname dir in
+    if String.equal parent dir then None else find_root parent
+
+let repo_root () =
+  match find_root (Sys.getcwd ()) with
+  | Some root -> root
+  | None -> Alcotest.fail "repo root not found above the test cwd"
+
+let fixture_dir () = Filename.concat (repo_root ()) "test/lint/typed_fixtures"
 
 let rule name =
-  match Rules.by_name name with
+  match Registry.by_name name with
   | Some r -> r
   | None -> Alcotest.failf "rule %s not registered" name
 
-(* Lint [src] under the named rules; fail the test on parse errors so a
-   broken fixture cannot silently pass as "0 findings". *)
-let lint ~rules src =
-  let findings, suppressed, failures =
-    Engine.lint_source ~rules ~file:"fixture.ml" src
-  in
-  check_int "fixture parses" 0 failures;
-  (findings, suppressed)
+(* Lint one compiled fixture (a path under typed_fixtures/) through the
+   engine, failing on a missing cmt so a fixture the build skipped
+   cannot pass as "0 findings". [as_] lints the same Typedtree as if it
+   lived at another path, for the path-scoped rules. *)
+let lint_fixture ?as_ ~rules name =
+  let root = repo_root () in
+  let path = Filename.concat (fixture_dir ()) name in
+  match as_ with
+  | None ->
+      let report = Engine.run ~rules ~root [ path ] in
+      check_int "fixture has a cmt" 0 (List.length report.Engine.missing);
+      (report.Engine.findings, report.Engine.suppressed)
+  | Some file -> (
+      let index = Cmt_index.create ~build_root:root in
+      match Cmt_index.find index ~source:(Engine.relativize ~root path) with
+      | Cmt_index.Unavailable -> Alcotest.failf "no cmt for fixture %s" name
+      | Cmt_index.Loaded structure ->
+          Engine.lint_structure ~rules
+            ~guards:(Typed_rules.Guards.empty ())
+            ~file ~src:(read_file path) structure)
+
+let expect_fixture ?as_ ?suppressed name ~rule:rule_name ~count =
+  let findings, silenced = lint_fixture ?as_ ~rules:[ rule rule_name ] name in
+  List.iter (fun f -> check_string "rule tag" rule_name f.Finding.rule) findings;
+  check_int "finding count" count (List.length findings);
+  Option.iter (check_int "suppressed count" silenced) suppressed
 
 let expect_rule name file count =
   test_case
     (Printf.sprintf "%s fires %d time(s) on %s" name count file)
-    (fun () ->
-      let findings, _ = lint ~rules:[ rule name ] (fixture file) in
-      List.iter
-        (fun f -> check_string "rule tag" name f.Finding.rule)
-        findings;
-      check_int "finding count" count (List.length findings))
+    (fun () -> expect_fixture file ~rule:name ~count)
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                               *)
@@ -55,113 +85,85 @@ let expect_rule name file count =
 
 let rule_tests =
   [
-    expect_rule "domain-unsafe-capture" "r1_domain_capture.ml" 6;
+    expect_rule "domain-escape" "r1_domain_capture.ml" 6;
     expect_rule "poly-compare" "r2_poly_compare.ml" 5;
-    expect_rule "float-discipline" "r3_float_discipline.ml" 6;
+    expect_rule "float-discipline" "r3_float_discipline.ml" 7;
     expect_rule "nondet-source" "r4_nondet_source.ml" 6;
     expect_rule "obs-discipline" "r5_obs_discipline.ml" 4;
     test_case "unbounded-wait fires under a serving-path file name" (fun () ->
-        let findings, suppressed, failures =
-          Engine.lint_source
-            ~rules:[ rule "unbounded-wait" ]
-            ~file:"lib/serve/fixture.ml"
-            (fixture "r6_unbounded_wait.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        List.iter
-          (fun f -> check_string "rule tag" "unbounded-wait" f.Finding.rule)
-          findings;
-        check_int "finding count" 4 (List.length findings);
-        check_int "justified wait suppressed" 1 suppressed);
+        expect_fixture "lib/serve/r6_unbounded_wait.ml" ~rule:"unbounded-wait"
+          ~count:4 ~suppressed:1);
     test_case "unbounded-wait also covers lib/harness" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "unbounded-wait" ]
-            ~file:"lib/harness/fixture.ml"
-            (fixture "r6_unbounded_wait.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "finding count" 4 (List.length findings));
+        expect_fixture "lib/serve/r6_unbounded_wait.ml" ~rule:"unbounded-wait"
+          ~as_:"lib/harness/r6_unbounded_wait.ml" ~count:4);
     test_case "unbounded-wait is silent outside the serving path" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "unbounded-wait" ]
-            ~file:"lib/faults/fixture.ml"
-            (fixture "r6_unbounded_wait.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "deliberate sleeps elsewhere are fine" 0
-          (List.length findings));
+        expect_fixture "lib/serve/r6_unbounded_wait.ml" ~rule:"unbounded-wait"
+          ~as_:"lib/faults/r6_unbounded_wait.ml" ~count:0);
     test_case "seeded-randomness fires under a solver-stack file name"
       (fun () ->
-        let findings, suppressed, failures =
-          Engine.lint_source
-            ~rules:[ rule "seeded-randomness" ]
-            ~file:"lib/sat/fixture.ml"
-            (fixture "r7_seeded_randomness.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        List.iter
-          (fun f -> check_string "rule tag" "seeded-randomness" f.Finding.rule)
-          findings;
-        check_int "finding count" 3 (List.length findings);
-        check_int "justified use suppressed" 1 suppressed);
+        expect_fixture "lib/sat/r7_seeded_randomness.ml"
+          ~rule:"seeded-randomness" ~count:3 ~suppressed:1);
     test_case "seeded-randomness also covers lib/router" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "seeded-randomness" ]
-            ~file:"lib/router/fixture.ml"
-            (fixture "r7_seeded_randomness.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "finding count" 3 (List.length findings));
+        expect_fixture "lib/sat/r7_seeded_randomness.ml"
+          ~rule:"seeded-randomness" ~as_:"lib/router/r7_seeded_randomness.ml"
+          ~count:3);
     test_case "seeded-randomness is silent outside the solver stack"
       (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "seeded-randomness" ]
-            ~file:"bench/fixture.ml"
-            (fixture "r7_seeded_randomness.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "ambient randomness elsewhere is fine" 0
-          (List.length findings));
+        expect_fixture "lib/sat/r7_seeded_randomness.ml"
+          ~rule:"seeded-randomness" ~as_:"bench/r7_seeded_randomness.ml"
+          ~count:0);
     test_case "distance-in-loop fires under a router file name" (fun () ->
-        let findings, suppressed, failures =
-          Engine.lint_source
-            ~rules:[ rule "distance-in-loop" ]
-            ~file:"lib/router/fixture.ml"
-            (fixture "r8_distance_in_loop.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        List.iter
-          (fun f -> check_string "rule tag" "distance-in-loop" f.Finding.rule)
-          findings;
-        check_int "finding count" 5 (List.length findings);
-        check_int "justified once-per-round lookup suppressed" 1 suppressed);
+        expect_fixture "lib/router/r8_distance_in_loop.ml"
+          ~rule:"distance-in-loop" ~count:6 ~suppressed:1);
     test_case "distance-in-loop is silent outside lib/router" (fun () ->
-        let findings, _, failures =
-          Engine.lint_source
-            ~rules:[ rule "distance-in-loop" ]
-            ~file:"lib/arch/fixture.ml"
-            (fixture "r8_distance_in_loop.ml")
-        in
-        check_int "fixture parses" 0 failures;
-        check_int "lookups elsewhere are fine" 0 (List.length findings));
+        expect_fixture "lib/router/r8_distance_in_loop.ml"
+          ~rule:"distance-in-loop" ~as_:"lib/arch/r8_distance_in_loop.ml"
+          ~count:0);
     test_case "clean fixture is clean under every rule" (fun () ->
-        let findings, suppressed = lint ~rules:Rules.all (fixture "clean.ml") in
+        let findings, suppressed = lint_fixture ~rules:Registry.all "clean.ml" in
         check_int "no findings" 0 (List.length findings);
         check_int "no suppressions" 0 suppressed);
     test_case "findings carry file, 1-based line and severity" (fun () ->
         let findings, _ =
-          lint ~rules:[ rule "poly-compare" ] "let f xs = List.sort compare xs\n"
+          lint_fixture ~rules:[ rule "poly-compare" ] "r2_poly_compare.ml"
         in
         match findings with
-        | [ f ] ->
-            check_string "file" "fixture.ml" f.Finding.file;
-            check_int "line" 1 f.Finding.line;
+        | f :: _ ->
+            check_string "file"
+              (Filename.concat (fixture_dir ()) "r2_poly_compare.ml")
+              f.Finding.file;
+            check_int "line" 4 f.Finding.line;
             check_bool "severity" true (f.Finding.severity = Finding.Error)
+        | [] -> Alcotest.fail "expected findings");
+    test_case "domain-escape flags a top-level lazy under lib/ only"
+      (fun () ->
+        let name = "lib/sat/r10_toplevel_lazy.ml" in
+        let findings, suppressed =
+          lint_fixture ~rules:[ rule "domain-escape" ] name
+        in
+        check_int "one suppressed" 1 suppressed;
+        (match findings with
+        | [ f ] -> check_int "the shared table" 7 f.Finding.line
         | l -> Alcotest.failf "expected 1 finding, got %d" (List.length l));
+        expect_fixture name ~rule:"domain-escape"
+          ~as_:"bench/r10_toplevel_lazy.ml" ~count:0);
+    test_case "every catalogued rule fires on its compiled fixture" (fun () ->
+        (* A rule that silently stops matching the Typedtree turns this
+           red rather than leaving the @lint gate vacuously green. *)
+        let report =
+          Engine.run ~rules:Registry.all ~root:(repo_root ()) [ fixture_dir () ]
+        in
+        check_int "every fixture has a cmt" 0
+          (List.length report.Engine.missing);
+        List.iter
+          (fun (r : Registry.t) ->
+            check_bool
+              (r.Registry.name ^ " has a finding")
+              true
+              (List.exists
+                 (fun f -> String.equal f.Finding.rule r.Registry.name)
+                 report.Engine.findings))
+          Registry.all);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -172,7 +174,7 @@ let suppression_tests =
   [
     test_case "suppressed fixture keeps nothing, counts five" (fun () ->
         let findings, suppressed =
-          lint ~rules:Rules.all (fixture "suppressed.ml")
+          lint_fixture ~rules:Registry.all "suppressed.ml"
         in
         List.iter
           (fun f -> Printf.eprintf "unexpected: %s\n" (Finding.to_human f))
@@ -274,42 +276,17 @@ let baseline_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Typed rules (R9–R12) over the compiled fixture libraries            *)
+(* Concurrency rules (R9–R12) over the whole fixture tree              *)
 (* ------------------------------------------------------------------ *)
 
-let rec find_root dir =
-  if
-    Sys.file_exists (Filename.concat dir "dune-project")
-    && Sys.file_exists (Filename.concat dir "lib")
-    && Sys.is_directory (Filename.concat dir "lib")
-  then Some dir
-  else
-    let parent = Filename.dirname dir in
-    if String.equal parent dir then None else find_root parent
-
-let repo_root () =
-  match find_root (Sys.getcwd ()) with
-  | Some root -> root
-  | None -> Alcotest.fail "repo root not found above the test cwd"
-
-let typed_registry name =
-  match Registry.by_name name with
-  | Some r -> r
-  | None -> Alcotest.failf "rule %s not registered" name
-
 (* Run the engine over the compiled typed_fixtures tree under one rule;
-   the fixture libraries are build deps of this test, so their cmts are
-   guaranteed to exist. *)
+   the fixture libraries' cmts are build deps of this test. *)
 let run_typed_fixtures rule_name =
-  let root = repo_root () in
   let report =
-    Engine.run
-      ~rules:[ typed_registry rule_name ]
-      ~root
-      [ Filename.concat root "test/lint/typed_fixtures" ]
+    Engine.run ~rules:[ rule rule_name ] ~root:(repo_root ()) [ fixture_dir () ]
   in
   check_int "every fixture file has a cmt" 0
-    (List.length report.Engine.typed_missing);
+    (List.length report.Engine.missing);
   report
 
 let expect_typed rule_name ~findings ~suppressed:sup =
@@ -327,7 +304,7 @@ let expect_typed rule_name ~findings ~suppressed:sup =
 let typed_rule_tests =
   [
     expect_typed "guarded-by" ~findings:4 ~suppressed:1;
-    expect_typed "domain-escape" ~findings:2 ~suppressed:1;
+    expect_typed "domain-escape" ~findings:9 ~suppressed:2;
     expect_typed "blocking-under-mutex" ~findings:3 ~suppressed:1;
     expect_typed "cancel-poll-coverage" ~findings:2 ~suppressed:1;
     test_case "guarded-by resolves the annotation across modules" (fun () ->
@@ -345,61 +322,22 @@ let typed_rule_tests =
             check_bool "only the two seeded sites fire" true
               (List.mem f.Finding.line [ 7; 38 ]))
           report.Engine.findings);
-    test_case "typed pass covers all five fixture modules" (fun () ->
+    test_case "engine covers every fixture module" (fun () ->
         let report = run_typed_fixtures "guarded-by" in
-        check_int "files walked" 5 report.Engine.files;
-        check_int "typed coverage" 5 report.Engine.typed_files);
+        check_int "files walked" 16 report.Engine.files);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Registry: the untyped rules behave identically through the new      *)
-(* engine pipeline (typed/untyped parity on the R1–R8 fixtures)        *)
+(* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let parity_tests =
   [
     test_case "registry wraps every rule exactly once" (fun () ->
-        check_int "catalogue size" 12 (List.length Registry.all);
+        check_int "catalogue size" 11 (List.length Registry.all);
         let names = List.map (fun (r : Registry.t) -> r.Registry.name) Registry.all in
-        check_int "names unique" 12
+        check_int "names unique" 11
           (List.length (List.sort_uniq String.compare names)));
-    test_case "untyped rules give identical findings through the registry"
-      (fun () ->
-        (* Same fixture sources, two pipelines: the historical per-source
-           untyped path vs the registry-driven engine walk. The reports
-           must agree finding-for-finding, order included. *)
-        let untyped =
-          List.filter
-            (fun (r : Registry.t) ->
-              match r.Registry.repr with
-              | Registry.Untyped _ -> true
-              | Registry.Typed _ -> false)
-            Registry.all
-        in
-        check_int "eight untyped rules" 8 (List.length untyped);
-        let report = Engine.run ~rules:untyped ~root:"." [ "fixtures" ] in
-        check_int "fixtures all parse" 0 report.Engine.parse_failures;
-        let files =
-          Sys.readdir "fixtures" |> Array.to_list |> List.sort String.compare
-          |> List.filter (fun f -> Filename.check_suffix f ".ml")
-        in
-        let direct_findings, direct_suppressed =
-          List.fold_left
-            (fun (acc, sup) name ->
-              let path = Filename.concat "fixtures" name in
-              let findings, silenced, failures =
-                Engine.lint_source ~rules:Rules.all ~file:path (fixture name)
-              in
-              check_int (name ^ " parses") 0 failures;
-              (acc @ findings, sup + silenced))
-            ([], 0) files
-        in
-        check_int "suppression parity" direct_suppressed
-          report.Engine.suppressed;
-        Alcotest.(check (list string))
-          "finding parity"
-          (List.map Finding.to_human direct_findings)
-          (List.map Finding.to_human report.Engine.findings));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -415,7 +353,6 @@ let parallel_tests =
         let a = run 1 and b = run 4 in
         check_int "files" a.Engine.files b.Engine.files;
         check_int "suppressed" a.Engine.suppressed b.Engine.suppressed;
-        check_int "typed files" a.Engine.typed_files b.Engine.typed_files;
         Alcotest.(check (list string))
           "findings identical and identically ordered"
           (List.map Finding.to_human a.Engine.findings)
@@ -430,12 +367,12 @@ let with_temp_baseline f =
   let tmp = Filename.temp_file "qls_lint_test" ".baseline" in
   Fun.protect ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ()) (fun () -> f tmp)
 
-(* Drive the real driver over the on-disk parsetree fixtures (violations
-   guaranteed), untyped rules only so no cmts are needed. *)
+(* Drive the real driver over the compiled fixtures (violations
+   guaranteed). *)
 let driver_opts =
   {
     Driver.default_opts with
-    Driver.paths = [ "fixtures" ];
+    Driver.paths = [ "typed_fixtures" ];
     rules = [ "poly-compare"; "nondet-source"; "float-discipline" ];
   }
 
@@ -467,7 +404,7 @@ let driver_tests =
               (Baseline.render
                  [
                    {
-                     Baseline.file = "fixtures/gone.ml";
+                     Baseline.file = "typed_fixtures/gone.ml";
                      rule = "poly-compare";
                      allowed = 3;
                    };
@@ -490,11 +427,25 @@ let driver_tests =
             | Ok entries ->
                 check_bool "stale entry pruned" false
                   (List.exists
-                     (fun e -> String.equal e.Baseline.file "fixtures/gone.ml")
+                     (fun e -> String.equal e.Baseline.file "typed_fixtures/gone.ml")
                      entries)));
     test_case "unknown rule names exit 2" (fun () ->
         check_int "usage error" 2
           (Driver.execute { driver_opts with Driver.rules = [ "no-such-rule" ] }));
+    test_case "a file with no .cmt is an error, not a silent pass" (fun () ->
+        let dir = Filename.temp_dir "qls_lint_test" "" in
+        let path = Filename.concat dir "unbuilt.ml" in
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.remove path;
+            Sys.rmdir dir)
+          (fun () ->
+            let oc = open_out path in
+            output_string oc "let x = compare\n";
+            close_out oc;
+            check_int "configuration error" 2
+              (Driver.execute
+                 { Driver.default_opts with Driver.root = dir; paths = [ path ] })));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -710,7 +661,7 @@ let self_check_tests =
           Engine.run ~rules:Registry.all ~root [ Filename.concat root "lib" ]
         in
         check_bool "linted a non-trivial tree" true (report.Engine.files > 20);
-        check_int "every file parses" 0 report.Engine.parse_failures;
+        check_int "every file has a cmt" 0 (List.length report.Engine.missing);
         List.iter
           (fun f -> Printf.eprintf "%s\n" (Finding.to_human f))
           report.Engine.findings;

@@ -1,26 +1,33 @@
 (* R8 fixture: Device.distance resolved per candidate inside router
-   loops. Only meaningful when linted under a lib/router path — the
-   rule is scoped to the router layer and must stay silent elsewhere.
-   Expected findings: 5 (closure to List.fold_left, sort comparator,
-   Graph.fold_edges closure, while body, for body). *)
+   loops. The directory path puts this file in the rule's lib/router
+   scope; linted under any other path the rule must stay silent.
+   Expected findings: 6 (closure to List.fold_left, both lookups in a
+   sort comparator — one through a module alias —, Graph.fold_edges
+   closure, while body, for body). *)
+
+module Device = Qls_arch.Device
+module Mapping = Qls_layout.Mapping
+module Graph = Qls_graph.Graph
+module D = Qls_arch.Device
 
 (* 1. per-candidate lookup in an iteration closure *)
 let score device mapping partners p =
   List.fold_left (fun acc q -> acc + Device.distance device p (Mapping.phys mapping q)) 0 partners
 
-(* 2. sort comparator runs O(n log n) times *)
+(* 2. sort comparator runs O(n log n) times; the alias does not hide it *)
 let order device pairs =
-  List.sort (fun (a, b) (a', b') -> Int.compare (Device.distance device a b) (Device.distance' device a' b')) pairs
+  List.sort (fun (a, b) (a', b') -> Int.compare (Device.distance device a b) (D.distance device a' b')) pairs
 
 (* 3. module-local fold iterates too *)
-let spread device mapping inter =
+let spread device inter =
   Graph.fold_edges (fun q q' acc -> acc + Device.distance device q q') inter 0
 
 (* 4. while body *)
 let walk device src dst =
   let p = ref src in
   while Device.distance device !p dst > 0 do
-    p := Device.step device !p dst
+    Qls_cancel.poll ();
+    p := List.hd (Device.neighbors device !p)
   done;
   !p
 

@@ -1,6 +1,6 @@
-(* R6 fixture: raw sleeps and unbounded joins. Only meaningful when
-   linted under a lib/serve or lib/harness path — the rule is scoped to
-   the serving path and must stay silent elsewhere. *)
+(* R6 fixture: raw sleeps and unbounded joins. The directory path puts
+   this file in the rule's serving-path scope; linted under any other
+   path the rule must stay silent. Expected findings: 4. *)
 
 let nap () = Unix.sleep 1
 let micro_nap () = Unix.sleepf 0.5

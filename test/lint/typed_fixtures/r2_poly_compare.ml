@@ -20,3 +20,7 @@ let ok_int xs = List.sort Int.compare xs
 let ok_str a b = String.compare a b
 let ok_imm x = x = 3
 let ok_vars a b = a = b
+
+(* Fine: at an immediate type polymorphic compare is an integer
+   comparison. *)
+let ok_imm_compare (xs : int list) = List.sort compare xs

@@ -1,5 +1,5 @@
-(* R3 fixture: float equality and polymorphic min/max/compare on float
-   operands. Expected findings: 6. *)
+(* R3 fixture: float equality and polymorphic min/max/compare
+   instantiated at float. Expected findings: 7. *)
 
 let bad_eq_arith a b c = a = (b *. c)
 
@@ -13,9 +13,13 @@ let bad_compare x = compare x 1.5
 
 let bad_conv n m = float_of_int n = m
 
+(* Only the types say these are floats. *)
+let bad_typed_eq (prio : float array) i j = prio.(i) = prio.(j)
+
 (* Fine: ordering is well-defined on non-NaN floats, and the Float
    module is NaN-aware. *)
 let ok_order x y = x < y
 let ok_float_eq x y = Float.equal x y
 let ok_float_cmp x y = Float.compare x y
 let ok_eps x y = Float.abs (x -. y) < 1e-9
+let ok_int_min (a : int) b = min a b

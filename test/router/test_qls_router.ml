@@ -1154,74 +1154,6 @@ let hot_path_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Tie-break epsilon modes                                             *)
-(* ------------------------------------------------------------------ *)
-
-let tie_break_tests =
-  [
-    test_case "sabre: both tie-break modes deterministic, default absolute"
-      (fun () ->
-        check_bool "default is absolute" true
-          (not Sabre.default_options.Sabre.relative_tie_break);
-        let device = Topologies.grid 3 3 in
-        let rng = Rng.create 11 in
-        let c =
-          Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:40
-            ~single_ratio:0.0
-        in
-        let route opts = Sabre.route ~options:opts device c in
-        let abs1 = route Sabre.default_options
-        and abs2 = route Sabre.default_options in
-        let rel_opts =
-          { Sabre.default_options with Sabre.relative_tie_break = true }
-        in
-        let rel1 = route rel_opts and rel2 = route rel_opts in
-        check_bool "absolute mode deterministic" true
-          (Transpiled.ops abs1 = Transpiled.ops abs2);
-        check_bool "relative mode deterministic" true
-          (Transpiled.ops rel1 = Transpiled.ops rel2);
-        check_bool "absolute verifies" true (Verifier.is_valid abs1);
-        check_bool "relative verifies" true (Verifier.is_valid rel1));
-    test_case "sabre: both modes solve Fig. 1 optimally" (fun () ->
-        let device = Topologies.line 4 in
-        let swaps opts =
-          (Verifier.check_exn
-             (Sabre.route ~options:(Sabre.with_trials 8 opts) device
-                (triangle ())))
-            .Verifier.swap_count
-        in
-        check_int "absolute" 1 (swaps Sabre.default_options);
-        check_int "relative" 1
-          (swaps { Sabre.default_options with Sabre.relative_tie_break = true }));
-    test_case "tket: both tie-break modes deterministic, default absolute"
-      (fun () ->
-        check_bool "default is absolute" true
-          (not Tket_router.default_options.Tket_router.relative_tie_break);
-        let device = Topologies.grid 3 3 in
-        let rng = Rng.create 13 in
-        let c =
-          Random_circuit.uniform rng ~n_qubits:9 ~n_two_qubit:40
-            ~single_ratio:0.0
-        in
-        let route opts = Tket_router.route ~options:opts device c in
-        let abs1 = route Tket_router.default_options
-        and abs2 = route Tket_router.default_options in
-        let rel_opts =
-          {
-            Tket_router.default_options with
-            Tket_router.relative_tie_break = true;
-          }
-        in
-        let rel1 = route rel_opts and rel2 = route rel_opts in
-        check_bool "absolute mode deterministic" true
-          (Transpiled.ops abs1 = Transpiled.ops abs2);
-        check_bool "relative mode deterministic" true
-          (Transpiled.ops rel1 = Transpiled.ops rel2);
-        check_bool "absolute verifies" true (Verifier.is_valid abs1);
-        check_bool "relative verifies" true (Verifier.is_valid rel1));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1353,7 +1285,6 @@ let () =
       ("goldens", golden_tests);
       ("hot-path", hot_path_tests);
       ("hot-path-properties", List.map QCheck_alcotest.to_alcotest hot_path_props);
-      ("tie-break", tie_break_tests);
       ("registry", registry_tests);
       ("cancellation", cancellation_tests);
       ("tracing", tracing_tests);
